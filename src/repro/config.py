@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import typing
 
 from repro.cluster.spec import (
@@ -187,10 +188,14 @@ class ExperimentConfig:
             raise ConfigError(f"bsz must be >= 1, got {self.bsz}")
         if self.mp < 1:
             raise ConfigError(f"mp must be >= 1, got {self.mp}")
-        if self.ir is not None and self.ir <= 0:
-            raise ConfigError(f"ir must be positive, got {self.ir}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
+        if self.ir is not None and not (math.isfinite(self.ir) and self.ir > 0):
+            raise ConfigError(f"ir must be positive and finite, got {self.ir}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ConfigError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.warmup_fraction < 1:
             raise ConfigError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"

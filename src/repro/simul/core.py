@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import typing
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.simul.events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout
 from repro.simul.process import Process
-from repro.simul.scheduler import PermutedScheduler, SCHEDULERS
+from repro.simul.scheduler import Entry, PermutedScheduler
 
-
-INFINITY = float("inf")
 
 #: Upper bound on Timeout objects kept in the slab pool.
 _TIMEOUT_POOL_CAP = 1024
@@ -19,14 +19,12 @@ _TIMEOUT_POOL_CAP = 1024
 #: Analysis-mode construction overrides applied to every Environment
 #: built while :func:`kernel_overrides` is active.  This is how the
 #: concurrency analyzer instruments a run without threading knobs
-#: through every layer that creates an Environment: ``scheduler``
-#: forces a backend, ``perturb_seed`` wraps it in a seeded
-#: :class:`~repro.simul.scheduler.PermutedScheduler`, and ``tracker``
-#: attaches a tie-race tracker (duck-typed: ``attach``/``on_schedule``/
-#: ``on_pop``/``on_state``).  All default to off; the hot path pays one
-#: ``is not None`` check.
+#: through every layer that creates an Environment: ``perturb_seed``
+#: pops through a seeded :class:`~repro.simul.scheduler.PermutedScheduler`,
+#: and ``tracker`` attaches a tie-race tracker (duck-typed: ``attach``/
+#: ``on_schedule``/``on_pop``/``on_state``).  Both default to off; the
+#: hot path pays one ``is not None`` check.
 _OVERRIDES: dict[str, typing.Any] = {
-    "scheduler": None,
     "perturb_seed": None,
     "tracker": None,
 }
@@ -34,13 +32,11 @@ _OVERRIDES: dict[str, typing.Any] = {
 
 @contextlib.contextmanager
 def kernel_overrides(
-    scheduler: str | None = None,
     perturb_seed: int | None = None,
     tracker: typing.Any = None,
 ) -> typing.Iterator[None]:
     """Scope analysis-mode kernel instrumentation to a ``with`` block."""
     previous = dict(_OVERRIDES)
-    _OVERRIDES["scheduler"] = scheduler
     _OVERRIDES["perturb_seed"] = perturb_seed
     _OVERRIDES["tracker"] = tracker
     try:
@@ -50,29 +46,23 @@ def kernel_overrides(
 
 
 class Environment:
-    """Owns simulated time and the pending-event scheduler.
+    """Owns simulated time and the pending-event heap.
 
     Determinism: events scheduled for the same time fire in (priority,
-    insertion order) regardless of the scheduler backend ("calendar" by
-    default, "heap" as the reference fallback — see
-    :mod:`repro.simul.scheduler`). There is no wall-clock anywhere in
-    the kernel.
+    insertion order) — the heap key is ``(time, priority, seq)``. There
+    is no wall-clock anywhere in the kernel.
     """
 
-    def __init__(self, initial_time: float = 0.0, scheduler: str = "calendar") -> None:
-        if _OVERRIDES["scheduler"] is not None:
-            scheduler = _OVERRIDES["scheduler"]
-        try:
-            factory = SCHEDULERS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {sorted(SCHEDULERS)}"
-            ) from None
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        sched = factory()
-        if _OVERRIDES["perturb_seed"] is not None:
-            sched = PermutedScheduler(sched, _OVERRIDES["perturb_seed"])
-        self._sched = sched
+        self._queue: list[Entry] = []
+        # Bound once: a plain run calls heapq on the queue with no Python
+        # frame in between; a perturbed run pops through the wrapper.
+        self._push = functools.partial(heappush, self._queue)
+        if _OVERRIDES["perturb_seed"] is None:
+            self._pop = functools.partial(heappop, self._queue)
+        else:
+            self._pop = PermutedScheduler(self._queue, _OVERRIDES["perturb_seed"]).pop
         self._seq = 0
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
@@ -89,11 +79,6 @@ class Environment:
     def active_process(self) -> Process | None:
         return self._active_process
 
-    @property
-    def scheduler(self) -> str:
-        """Name of the scheduler backend in use."""
-        return self._sched.kind
-
     # -- scheduling --------------------------------------------------
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
@@ -101,16 +86,17 @@ class Environment:
         self._seq += 1
         if self._tracker is not None:
             self._tracker.on_schedule(self._seq, self._now + delay, priority)
-        self._sched.push((self._now + delay, priority, self._seq, event), self._now)
+        self._push((self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._sched.peek()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
         try:
-            entry = self._sched.pop()
+            entry = self._pop()
         except IndexError:
             raise SimulationError("no more events") from None
         self._now = entry[0]
@@ -138,16 +124,16 @@ class Environment:
 
         Returns the event's value when ``until`` is an event.
         """
-        sched = self._sched
+        queue = self._queue
         if until is None:
-            while sched:
+            while queue:
                 self.step()
             return None
 
         if isinstance(until, Event):
             stop = until
             while not stop.triggered or stop.callbacks is not None:
-                if not sched:
+                if not queue:
                     raise SimulationError(
                         "event queue drained before the awaited event fired"
                     )
@@ -161,7 +147,7 @@ class Environment:
             raise SimulationError(
                 f"cannot run backwards: until={deadline} < now={self._now}"
             )
-        while sched and sched.peek() <= deadline:
+        while queue and queue[0][0] <= deadline:
             self.step()
         self._now = deadline
         return None

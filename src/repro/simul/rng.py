@@ -20,6 +20,8 @@ class RandomStreams:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
+        #: name -> (root entropy, crc32 of the keyed name), built once.
+        self._keyed: dict[str, tuple[int, int]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the stream called ``name``."""
@@ -61,13 +63,16 @@ class RandomStreams:
         # A fresh child sequence per key: ".keyed" separates the keyed
         # namespace from the sequential stream of the same name, and the
         # crc32 of the key text sidesteps spawn_key's uint32 bound.
-        child = np.random.SeedSequence(
-            entropy=np.random.SeedSequence(self.seed).entropy,
-            spawn_key=(
+        root = self._keyed.get(name)
+        if root is None:
+            root = self._keyed[name] = (
+                np.random.SeedSequence(self.seed).entropy,
                 zlib.crc32(f"{name}.keyed".encode("utf-8")),
-                zlib.crc32(str(int(key)).encode("utf-8")),
-            ),
+            )
+        child = np.random.SeedSequence(
+            entropy=root[0],
+            spawn_key=(root[1], zlib.crc32(str(int(key)).encode("utf-8"))),
         )
-        return float(
-            np.random.default_rng(child).lognormal(mean=0.0, sigma=sigma)
-        )
+        # default_rng(child) is this Generator, minus its dispatch cost.
+        generator = np.random.Generator(np.random.PCG64(child))
+        return float(generator.lognormal(mean=0.0, sigma=sigma))

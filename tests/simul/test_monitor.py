@@ -1,5 +1,8 @@
 """Unit tests for simulation monitors and random streams."""
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.simul import Counter, Environment, RandomStreams, TimeSeries
@@ -180,3 +183,29 @@ def test_lognormal_factor_positive():
     streams = RandomStreams(seed=7)
     factor = streams.lognormal_factor("noise", sigma=0.3)
     assert factor > 0
+
+
+def _reference_keyed_factor(seed, name, sigma, key):
+    """The keyed-noise formula without caching: a fresh root
+    SeedSequence, name crc32 and default_rng on every call."""
+    child = np.random.SeedSequence(
+        entropy=np.random.SeedSequence(seed).entropy,
+        spawn_key=(
+            zlib.crc32(f"{name}.keyed".encode("utf-8")),
+            zlib.crc32(str(int(key)).encode("utf-8")),
+        ),
+    )
+    return float(np.random.default_rng(child).lognormal(mean=0.0, sigma=sigma))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+def test_keyed_lognormal_factor_matches_reference_formula(seed):
+    """The cached roots must not move a single bit of any draw: goldens
+    depend on these floats."""
+    streams = RandomStreams(seed=seed)
+    for name in ("serving.service", "netsim.rtt"):
+        for key in (-3, 0, 1, 41, 2**40):
+            for sigma in (0.05, 0.3):
+                assert streams.keyed_lognormal_factor(
+                    name, sigma, key
+                ) == _reference_keyed_factor(seed, name, sigma, key)

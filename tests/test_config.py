@@ -48,6 +48,22 @@ def test_invalid_fields_rejected(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ir", float("nan")),
+        ("ir", float("inf")),
+        ("duration", float("nan")),
+        ("seed", -1),
+    ],
+)
+def test_non_finite_or_negative_inputs_rejected(field, value):
+    """NaN/inf rates and durations and negative seeds used to run (as
+    saturating load, NaN throughput) or escape as NumPy errors."""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{field: value})
+
+
 def test_operator_parallelism_flink_only():
     ExperimentConfig(sps="flink", operator_parallelism=(32, 1, 32))
     with pytest.raises(ConfigError):
