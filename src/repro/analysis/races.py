@@ -70,7 +70,7 @@ class ProcessInfo:
 
     node: ast.FunctionDef | ast.AsyncFunctionDef
     #: Function names this process hands generators to ``env.process``/
-    #: ``self._spawn`` for (edges of the spawn graph).
+    #: ``env.spawn``/``self._spawn`` for (edges of the spawn graph).
     spawns: list[str]
     #: ``yield from`` targets: same-process continuations, *not*
     #: concurrency edges (a delegated generator runs inline).
@@ -85,7 +85,8 @@ class ProcessGraph:
     """Simulation processes of a module and their spawn/state structure.
 
     A function is a *process function* when it is a generator that is
-    either (a) handed to ``env.process(...)`` / ``self._spawn(...)``
+    either (a) handed to ``env.process(...)`` / ``env.spawn(...)`` /
+    ``self._spawn(...)``
     somewhere in the module, or (b) reached from such a function through
     ``yield from`` delegation. Conservatively, generator methods of
     classes whose instances are never spawned locally (engine adapters

@@ -288,7 +288,7 @@ def _is_values_call(node: ast.AST) -> bool:
 
 #: Calls that enqueue simulation work: the order members reach these in
 #: IS event order, so the feeding iteration must be explicitly ordered.
-_SCHEDULING_CALLS = frozenset({"process", "push_batch", "spawn", "_spawn"})
+_SCHEDULING_CALLS = frozenset({"process", "spawn", "_spawn"})
 
 
 def _schedules_work(nodes: typing.Iterable[ast.AST]) -> bool:
@@ -325,7 +325,7 @@ class UnsortedIterationRule(Rule):
 
     #: ``.values()`` views are insertion-ordered, so they are exempt from
     #: the generic check — but when the loop body *schedules events*
-    #: (env.process / push_batch), spawn order silently inherits whatever
+    #: (env.process / env.spawn), spawn order silently inherits whatever
     #: built the dict; that dependency must be made explicit.
     _VALUES_MESSAGE = (
         "iterating a .values() view into event scheduling makes spawn "

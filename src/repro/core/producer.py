@@ -97,7 +97,7 @@ class PacedProducer(InputProducerBase):
             span = self.tracer.begin(batch, "producer.generate")
             yield self.env.service_timeout(self._generation_cost(batch))
             self.tracer.end(span)
-            self.env.process(self._deliver(batch))
+            self.env.spawn(self._deliver(batch))
             interval = 1.0 / rate
             elapsed = self.env.now - now
             if interval > elapsed:
@@ -138,5 +138,5 @@ class SaturatingProducer(InputProducerBase):
                 # Deliveries run concurrently: the 4-vCPU producer VM and
                 # the broker cluster are sized so generation is never the
                 # bottleneck (§3.5's Kafka check).
-                self.env.process(self._deliver(batch))
+                self.env.spawn(self._deliver(batch))
             yield self.env.service_timeout(self.poll_interval)

@@ -188,6 +188,16 @@ class Environment:
     def process(self, generator: typing.Generator) -> Process:
         return Process(self, generator)
 
+    def spawn(self, generator: typing.Generator) -> None:
+        """Start a fire-and-forget process that returns no handle.
+
+        It starts exactly as :meth:`process` does (same URGENT init
+        event), but since nothing can wait on it, a clean return
+        schedules no completion event. A failure still fires one, so an
+        unwatched crash escalates from :meth:`run` as before.
+        """
+        Process(self, generator, detached=True)
+
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         return AnyOf(self, events)
 

@@ -23,18 +23,24 @@ class Process(Event):
     """Wraps a generator so it can be driven by the event loop.
 
     The process itself is an event that fires when the generator returns
-    (its value is the generator's return value) or raises.
+    (its value is the generator's return value) or raises. A *detached*
+    process (:meth:`Environment.spawn`) has no handle anyone could wait
+    on, so a clean return only marks it processed and schedules nothing;
+    a failure still fires, so an unwatched crash still escalates.
     """
 
-    __slots__ = ("_generator", "_target", "_defused")
+    __slots__ = ("_generator", "_target", "_defused", "_detached")
 
-    def __init__(self, env: "Environment", generator: typing.Generator) -> None:
+    def __init__(
+        self, env: "Environment", generator: typing.Generator, detached: bool = False
+    ) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
         self._target: Event | None = None
         self._defused = False
+        self._detached = detached
         # Kick off the process at the current time via an initialisation
         # event so processes never run code during their own construction.
         init = Event(env)
@@ -80,13 +86,20 @@ class Process(Event):
         self.env._active_process = self
         while True:
             try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
+                if event._ok:
+                    next_event = self._generator.send(event._value)
                 else:
                     exc = typing.cast(BaseException, event._value)
                     next_event = self._generator.throw(exc)
             except StopIteration as stop:
                 self.env._active_process = None
+                if self._detached:
+                    # Nobody holds this process, so its completion event
+                    # would pop with no callbacks: mark it processed
+                    # instead of scheduling it.
+                    self._value = stop.value
+                    self.callbacks = None
+                    return
                 self.succeed(stop.value)
                 return
             except Interrupt:

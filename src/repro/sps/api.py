@@ -206,7 +206,7 @@ class DataProcessor:
         """Fire-and-forget produce: Kafka producers buffer and send
         asynchronously, so the sink task never blocks on the broker round
         trip. Completion is reported at append time (LogAppendTime)."""
-        self.env.process(self._emit_process(batch))
+        self.env.spawn(self._emit_process(batch))
 
     def _emit_process(self, batch: CrayfishDataBatch) -> typing.Generator:
         self._emits_inflight += 1

@@ -158,7 +158,7 @@ class FlinkProcessor(DataProcessor):
                     slot = inflight.request()
                     yield slot
                     self.tracer.end(wait)
-                    self.env.process(self._async_round_trip(event, inflight, slot))
+                    self.env.spawn(self._async_round_trip(event, inflight, slot))
 
     def _windowed_task(self, member: int, members: int) -> typing.Generator:
         """Chained task with a count window before the scoring operator.

@@ -196,9 +196,9 @@ def test_unsorted_iteration_values_feeding_scheduling():
         "        env.process(w.run())\n"
     )
     assert "unsorted-iteration" in rules_hit(
-        "def spawn_all(engine, lanes):\n"
+        "def spawn_all(env, lanes):\n"
         "    for lane in lanes.values():\n"
-        "        engine.push_batch(lane)\n"
+        "        env.spawn(lane.deliver())\n"
     )
     assert "unsorted-iteration" in rules_hit(
         "def spawn_all(env, workers):\n"

@@ -41,6 +41,21 @@ def test_clustered_two_nodes_order_independent():
     assert verdict.identical, f"clustered mismatch: {verdict.mismatched}"
 
 
+def test_direct_pipeline_order_independent():
+    """The broker-less pipeline: the producer's deliveries are spawned
+    processes that return without ever yielding."""
+    verdicts = verify_order(
+        dataclasses.replace(SMALL, duration=0.4, use_broker=False),
+        engines=SPS_NAMES,
+        permutations=1,
+        sanitize=False,
+    )
+    assert [v.sps for v in verdicts] == list(SPS_NAMES)
+    for verdict in verdicts:
+        assert verdict.baseline_repeats
+        assert verdict.identical, f"{verdict.sps} order-dependent: {verdict.mismatched}"
+
+
 def test_verify_order_covers_requested_engines():
     verdicts = verify_order(
         dataclasses.replace(SMALL, duration=0.4),

@@ -198,14 +198,56 @@ def _reference_keyed_factor(seed, name, sigma, key):
     return float(np.random.default_rng(child).lognormal(mean=0.0, sigma=sigma))
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+#: The original cases first, then a sweep of small keys both sides of
+#: zero and keys whose text is long.
+KEYED_KEYS = (-3, 0, 1, 41, 2**40, *range(-5, 300), 10**12)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 1, 2**70 + 3])
 def test_keyed_lognormal_factor_matches_reference_formula(seed):
-    """The cached roots must not move a single bit of any draw: goldens
-    depend on these floats."""
+    """The draw replays SeedSequence and PCG64 seeding on Python ints;
+    it must not move a single bit of any draw against the installed
+    NumPy: goldens depend on these floats. Multi-word seeds take the
+    unpadded and partly padded entropy paths."""
     streams = RandomStreams(seed=seed)
     for name in ("serving.service", "netsim.rtt"):
-        for key in (-3, 0, 1, 41, 2**40):
+        for key in KEYED_KEYS:
             for sigma in (0.05, 0.3):
                 assert streams.keyed_lognormal_factor(
                     name, sigma, key
                 ) == _reference_keyed_factor(seed, name, sigma, key)
+
+
+def test_keyed_draws_are_a_pure_function_of_seed_name_and_key():
+    """The per-name cache carries no draw history: names drawn in
+    blocks, interleaved, or in reverse on fresh streams give the same
+    floats, and the reference's."""
+    seed = 11
+    names = ("serving.service", "netsim.rtt", "broker.append")
+    keys = (*range(-5, 40), 2**40, 10**12)
+
+    def draws(order):
+        streams = RandomStreams(seed=seed)
+        return {
+            (name, key): streams.keyed_lognormal_factor(name, 0.2, key)
+            for name, key in order
+        }
+
+    blocks = [(name, key) for name in names for key in keys]
+    interleaved = [(name, key) for key in keys for name in names]
+    expected = {
+        (name, key): _reference_keyed_factor(seed, name, 0.2, key)
+        for name, key in blocks
+    }
+    assert draws(blocks) == expected
+    assert draws(interleaved) == expected
+    assert draws(blocks[::-1]) == expected
+
+
+def test_keyed_streams_of_different_seeds_share_no_state():
+    first, second = RandomStreams(seed=3), RandomStreams(seed=2**70 + 3)
+    for key in range(50):
+        for seed, streams in ((3, first), (2**70 + 3, second)):
+            assert streams.keyed_lognormal_factor(
+                "serving.service", 0.3, key
+            ) == _reference_keyed_factor(seed, "serving.service", 0.3, key)

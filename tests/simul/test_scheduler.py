@@ -125,11 +125,7 @@ def test_run_until_event_never_fired_raises(kind):
         env.run(until=env.event())
 
 
-@pytest.mark.parametrize("sps", SPS_NAMES)
-def test_every_popped_event_went_through_schedule(sps, monkeypatch):
-    """No bypass: the events a run pops, plus those still queued at its
-    end, are exactly those ``Environment.schedule`` queued — the one
-    place kernel events are counted."""
+def _assert_every_pop_was_scheduled(sps, monkeypatch):
     scheduled, popped = [0], [0]
     envs = {}
     schedule, step = Environment.schedule, Environment.step
@@ -151,3 +147,99 @@ def test_every_popped_event_went_through_schedule(sps, monkeypatch):
     queued = sum(len(env._queue) for env in envs.values())
     assert popped[0] > 0
     assert scheduled[0] == popped[0] + queued
+
+
+@pytest.mark.parametrize("sps", SPS_NAMES)
+def test_every_popped_event_went_through_schedule(sps, monkeypatch):
+    """No bypass: the events a run pops, plus those still queued at its
+    end, are exactly those ``Environment.schedule`` queued — the one
+    place kernel events are counted."""
+    _assert_every_pop_was_scheduled(sps, monkeypatch)
+
+
+@pytest.mark.parametrize("sps", SPS_NAMES)
+def test_every_popped_event_went_through_schedule_perturbed(sps, monkeypatch):
+    """The same accounting on the tie-permuting pop, where the
+    producer's and sinks' spawned processes interleave differently."""
+    with kernel_overrides(perturb_seed=1):
+        _assert_every_pop_was_scheduled(sps, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_spawned_process_that_returns_costs_one_event(kind):
+    env = _env(kind)
+    count, ran = [0], []
+    schedule = env.schedule
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        schedule(*args, **kwargs)
+
+    env.schedule = counted
+
+    def body():
+        ran.append(env.now)
+        return
+        yield
+
+    assert env.spawn(body()) is None
+    env.run()
+    assert ran == [0.0]
+    # The init event only: no completion event for a handle nobody holds.
+    assert count[0] == 1
+    handled = env.process(body())
+    env.run()
+    assert handled.processed and count[0] == 3
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_spawned_process_that_raises_escalates_at_the_same_time(kind):
+    def crasher(env):
+        yield env.timeout(1.5)
+        raise ValueError("spawned crash")
+
+    times = {}
+    for start in ("process", "spawn"):
+        env = _env(kind)
+        getattr(env, start)(crasher(env))
+        with pytest.raises(ValueError, match="spawned crash"):
+            env.run()
+        times[start] = env.now
+    assert times == {"process": 1.5, "spawn": 1.5}
+
+
+def test_spawn_and_process_start_in_the_same_pop_order():
+    """Both start through one URGENT init event at the same heap slot,
+    so interleaved spawns and processes run in creation order."""
+    entries = {}
+    order = []
+
+    def body(tag):
+        order.append(tag)
+        return
+        yield
+
+    for start in ("process", "spawn"):
+        env = Environment()
+        for tag in range(4):
+            (env.spawn if tag % 2 else getattr(env, start))(body((start, tag)))
+        entries[start] = [(t, p, s) for t, p, s, __ in env._queue]
+        env.run()
+    assert entries["process"] == entries["spawn"]
+    assert order == [(s, t) for s in ("process", "spawn") for t in range(4)]
+
+
+def test_spawned_processes_run_under_perturbation():
+    ran = []
+
+    def body(env, tag):
+        yield env.timeout(1.0)
+        ran.append(tag)
+
+    with kernel_overrides(perturb_seed=1):
+        env = Environment()
+    for tag in range(6):
+        env.spawn(body(env, tag))
+    env.run()
+    assert sorted(ran) == list(range(6))
+    assert env.peek() == float("inf")
