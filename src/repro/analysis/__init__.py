@@ -12,15 +12,12 @@ invariant three ways:
 - a runtime **determinism sanitizer**
   (:mod:`repro.analysis.sanitizer`) that monkeypatches wall-clock and
   global-RNG entry points to raise during a run;
-- a **dual-run verification harness**
-  (:mod:`repro.analysis.determinism`) that executes the same scenario
-  twice and byte-diffs the results/metrics/trace exports;
 - a **simulated-concurrency race detector** spanning a static pass over
-  the process graph (:mod:`repro.analysis.races`), a dynamic tie-class
-  access tracker (:mod:`repro.analysis.tierace`), and a
-  schedule-perturbation proof harness (:mod:`repro.analysis.order`,
-  ``crayfish verify-order``) that re-runs an experiment under seeded
-  permutations of event-tie pop order and byte-diffs every export.
+  the process graph (:mod:`repro.analysis.races`) and the one dynamic
+  equivalence harness (:mod:`repro.analysis.order`,
+  ``crayfish verify-order``): it runs an experiment twice unperturbed,
+  then under seeded permutations of event-tie pop order, and byte-diffs
+  the results/metrics/trace exports of every run.
 
 Deliberate exceptions are suppressed in-source with pragmas::
 
@@ -37,28 +34,22 @@ from repro.analysis.core import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.determinism import EngineVerdict, verify_determinism
 from repro.analysis.order import OrderVerdict, verify_order
 from repro.analysis.races import ProcessGraph
 from repro.analysis.rules import all_rules
 from repro.analysis.sanitizer import DeterminismViolation, determinism_sanitizer
-from repro.analysis.tierace import TieConflict, TieTracker
 
 __all__ = [
     "DeterminismViolation",
-    "EngineVerdict",
     "FileReport",
     "Finding",
     "OrderVerdict",
     "Pragma",
     "ProcessGraph",
-    "TieConflict",
-    "TieTracker",
     "all_rules",
     "determinism_sanitizer",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "verify_determinism",
     "verify_order",
 ]

@@ -119,10 +119,6 @@ class Rule:
     name: typing.ClassVar[str] = ""
     #: One-line summary for ``crayfish lint --rules``.
     description: typing.ClassVar[str] = ""
-    #: Dynamic rules report at runtime (sanitizer/tracker layers), not
-    #: from the static pass: their pragmas legitimately suppress nothing
-    #: during a lint and are exempt from dead-pragma hygiene.
-    dynamic: typing.ClassVar[bool] = False
 
     def check(self, module: ModuleContext) -> typing.Iterator[Finding]:
         raise NotImplementedError
@@ -203,9 +199,6 @@ def _pragma_findings(
             pragma not in used
             and all(r in known for r in pragma.rules)
             and all(r in active for r in pragma.rules)
-            and not any(
-                _REGISTRY[r].dynamic for r in pragma.rules if r in _REGISTRY
-            )
         ):
             findings.append(
                 Finding(

@@ -10,21 +10,56 @@ the lowest insertion sequence, while still respecting causality (an
 event scheduled mid-tick only becomes poppable after its creator ran) —
 and byte-diffs all serialized exports against the unperturbed baseline.
 
-Byte-identical exports across permutations are a *proof* that no
-tie-order dependency reaches any published surface. A diff is a
-CONFIRMED ordering hazard; pair it with ``crayfish run --tie-track`` to
-locate the conflicting access sites.
+The unperturbed baseline runs twice first, so the harness also proves
+plain determinism. Exports rather than in-memory objects are compared
+because they are exactly the surface a reader of the paper's numbers
+sees: the results JSON, the OpenMetrics exposition, the scraped metrics
+timeline and the Chrome trace. Byte-identical exports across
+permutations are a *proof* that no tie-order dependency reaches any
+published surface. A diff is a CONFIRMED ordering hazard in the named
+artifacts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import json
 import typing
 
-from repro.analysis.determinism import ARTIFACTS, run_fingerprints
+from repro.analysis.sanitizer import determinism_sanitizer
 from repro.config import ExperimentConfig, SPS_NAMES
+from repro.core.results_io import result_to_dict
+from repro.core.runner import ExperimentRunner
+from repro.metrics.export import openmetrics_text, timeline_rows
 from repro.simul.core import kernel_overrides
+from repro.tracing.export import chrome_trace
+
+#: Artifact names, in report order.
+ARTIFACTS = ("results.json", "metrics.txt", "metrics.jsonl", "trace.json")
+
+
+def run_fingerprints(
+    config: ExperimentConfig, sanitize: bool = True
+) -> dict[str, bytes]:
+    """Execute one fully instrumented run and serialize its artifacts."""
+    guard = determinism_sanitizer() if sanitize else contextlib.nullcontext()
+    with guard:
+        result = ExperimentRunner(config).run(trace=True, metrics=True)
+    timeline = "\n".join(
+        json.dumps(row, sort_keys=True) for row in timeline_rows(result.telemetry.scraper)
+    )
+    return {
+        "results.json": json.dumps(
+            result_to_dict(result), sort_keys=True
+        ).encode(),
+        "metrics.txt": openmetrics_text(result.telemetry.registry).encode(),
+        "metrics.jsonl": timeline.encode(),
+        "trace.json": json.dumps(
+            chrome_trace(result.trace), sort_keys=True
+        ).encode(),
+    }
 
 
 @dataclasses.dataclass(frozen=True)

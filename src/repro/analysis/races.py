@@ -5,7 +5,7 @@ insertion order, so runs are reproducible — but reproducible is not the
 same as *order-independent*: code whose result depends on which tie-class
 sibling fires first encodes an accidental schedule, and any refactor that
 perturbs insertion order silently changes results. This module is the
-static third of ``repro.analysis.races``:
+static half of the race detector:
 
 - a :class:`ProcessGraph` over the module's simulation processes
   (generator functions driven by ``env.process`` / yielded events), and
@@ -15,10 +15,9 @@ static third of ``repro.analysis.races``:
   written from concurrent processes, and bare same-priority zero
   timeouts.
 
-The dynamic complement lives in :mod:`repro.analysis.tierace` (tie-class
-access tracking) and :mod:`repro.analysis.order` (schedule-perturbation
-proof); both report through the same rule names so one pragma grammar
-covers all three layers.
+The dynamic complement is :mod:`repro.analysis.order`
+(``crayfish verify-order``), which re-runs an experiment under permuted
+tie orders and byte-diffs every export.
 """
 
 from __future__ import annotations
@@ -489,30 +488,3 @@ class ZeroTimeoutRule(Rule):
                     "decided sibling, not to a defined successor; schedule "
                     "with an explicit priority or restructure the handoff",
                 )
-
-
-# ---------------------------------------------------------------------------
-# tie-race (dynamic pseudo-rule)
-# ---------------------------------------------------------------------------
-
-
-@register
-class TieRaceRule(Rule):
-    """Placeholder for the *dynamic* tie tracker's findings.
-
-    The rule itself finds nothing statically; it exists so that
-    ``# crayfish: allow[tie-race]: reason`` pragmas parse, validate, and
-    appear in the suppression inventory, and so reports from
-    :mod:`repro.analysis.tierace` flow through the same machinery as
-    static findings.
-    """
-
-    name = "tie-race"
-    description = (
-        "dynamic: conflicting same-tie-class state accesses recorded by "
-        "the tie tracker (crayfish run --tie-track)"
-    )
-    dynamic = True
-
-    def check(self, module: ModuleContext) -> typing.Iterator[Finding]:
-        return iter(())

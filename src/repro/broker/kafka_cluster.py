@@ -1,8 +1,7 @@
 """The broker-internal cluster: topics plus broker-side service costs.
 
-(Known as ``repro.broker.cluster`` before the multi-node scale-out
-package :mod:`repro.cluster` arrived; the old import path remains as a
-deprecation shim.)
+(Named ``kafka_cluster`` to keep it apart from the multi-node scale-out
+package :mod:`repro.cluster`.)
 
 The paper deploys 4 Kafka brokers and verifies they are never the
 bottleneck (§3.5). Each partition is owned by one broker; appends and

@@ -110,18 +110,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import contextlib
 
     config = _config_from(args, ir=args.ir)
-    tracker = None
     with contextlib.ExitStack() as stack:
         if args.sanitize:
             from repro.analysis.sanitizer import determinism_sanitizer
 
             stack.enter_context(determinism_sanitizer())
-        if args.tie_track:
-            from repro.analysis.tierace import TieTracker
-            from repro.simul.core import kernel_overrides
-
-            tracker = TieTracker()
-            stack.enter_context(kernel_overrides(tracker=tracker))
         result = run_experiment(config)
     rows = [
         ("throughput (events/s)", format_rate(result.throughput)),
@@ -134,29 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Recording happens dead last — after the simulation and every
     # export — so the sanitizer and determinism checks never see it.
     _record_results(_open_store(args), [result], kind="run")
-    if tracker is not None and _report_tie_conflicts(tracker):
-        return 1
     return 0
-
-
-def _report_tie_conflicts(tracker) -> bool:
-    """Print the tie-race report; True when unsuppressed conflicts exist."""
-    kept, suppressed = tracker.apply_pragmas()
-    print(
-        f"tie tracker: {tracker.accesses_recorded} shared-state access(es) "
-        f"recorded, {len(kept)} conflict(s), {len(suppressed)} suppressed"
-    )
-    for conflict in kept:
-        print(f"  CONFIRMED {conflict.describe()}")
-    for conflict in suppressed:
-        print(f"  suppressed {conflict.describe()}")
-    if kept:
-        print(
-            "unsuppressed tie-class conflicts: pop order inside one "
-            "(time, priority) class decides results; fix the ordering or "
-            "add '# crayfish: allow[tie-race]: reason' at an access site"
-        )
-    return bool(kept)
 
 
 def _add_matrix_exec_args(parser: argparse.ArgumentParser) -> None:
@@ -898,13 +869,12 @@ def _cmd_cluster_capacity(args: argparse.Namespace) -> int:
 
 
 def _lint_rule_selection(args: argparse.Namespace) -> list[str]:
-    """Resolve --select/--ignore (and the legacy --only alias) to rule
-    names. Raises ValueError on an unknown rule in either list."""
+    """Resolve --select/--ignore to rule names. Raises ValueError on an
+    unknown rule in either list."""
     from repro.analysis.core import rule_names
 
-    select = args.select or args.only
     known = set(rule_names())
-    base = set(select.split(",")) if select else set(known)
+    base = set(args.select.split(",")) if args.select else set(known)
     ignored = set(args.ignore.split(",")) if args.ignore else set()
     unknown = sorted((base | ignored) - known)
     if unknown:
@@ -972,59 +942,6 @@ def _check_suppressions(target: str, paths, reports) -> int:
     return 1
 
 
-def _cmd_verify_determinism(args: argparse.Namespace) -> int:
-    from repro.analysis.determinism import verify_determinism
-
-    extra: dict[str, typing.Any] = {}
-    if args.nodes > 0:
-        from repro.cluster.spec import ClusterSpec
-
-        spec = ClusterSpec(nodes=args.nodes)
-        extra["cluster"] = spec
-        extra["use_broker"] = True
-        extra["partitions"] = max(32, args.mp * args.nodes)
-    config = ExperimentConfig(
-        sps=SPS_NAMES[0],
-        serving=args.serving,
-        model=args.model,
-        bsz=args.bsz,
-        mp=args.mp,
-        seed=args.seed,
-        duration=args.duration,
-        ir=args.ir,
-        **extra,
-    )
-    engines = SPS_NAMES if args.sps == "all" else (args.sps,)
-    verdicts = verify_determinism(
-        config, engines=engines, sanitize=not args.no_sanitize
-    )
-    rows = []
-    for verdict in verdicts:
-        if verdict.identical:
-            digest = verdict.digests[0][1][:12]
-            rows.append((verdict.sps, "byte-identical", digest))
-        else:
-            rows.append(
-                (verdict.sps, "MISMATCH", ", ".join(verdict.mismatched))
-            )
-    print(
-        format_table(
-            ["engine", "dual-run verdict", "results sha256 / diffs"],
-            rows,
-            title=(
-                f"verify-determinism: {args.serving}/{args.model} "
-                f"ir={args.ir} duration={args.duration}s seed={args.seed}"
-            ),
-        )
-    )
-    failed = [v.sps for v in verdicts if not v.identical]
-    if failed:
-        print(f"NONDETERMINISM DETECTED in: {', '.join(failed)}")
-        return 1
-    print(f"all {len(verdicts)} engine(s) reproduce byte-identically")
-    return 0
-
-
 def _cmd_verify_order(args: argparse.Namespace) -> int:
     from repro.analysis.order import verify_order
 
@@ -1079,7 +996,6 @@ def _cmd_verify_order(args: argparse.Namespace) -> int:
             "ORDERING HAZARD: exports depend on event-tie pop order in: "
             + ", ".join(failed)
         )
-        print("locate the conflicting sites with: crayfish run --tie-track")
         return 1
     print(
         f"all {len(verdicts)} engine(s) byte-identical across "
@@ -1338,12 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the determinism sanitizer: wall-clock and "
         "global-RNG calls raise instead of corrupting results",
     )
-    run_cmd.add_argument(
-        "--tie-track", action="store_true", dest="tie_track",
-        help="record shared-state accesses per event-tie class and "
-        "report CONFIRMED pop-order races (nonzero exit when any are "
-        "unsuppressed)",
-    )
     _add_store_args(run_cmd)
     run_cmd.set_defaults(func=_cmd_run)
 
@@ -1598,9 +1508,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every rule except these",
     )
     lint_cmd.add_argument(
-        "--only", default=None, help=argparse.SUPPRESS,  # legacy --select alias
-    )
-    lint_cmd.add_argument(
         "--show-suppressed", action="store_true", dest="show_suppressed",
         help="also list findings silenced by pragmas",
     )
@@ -1624,37 +1531,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     lint_cmd.set_defaults(func=_cmd_lint)
-
-    verify_cmd = commands.add_parser(
-        "verify-determinism",
-        help="run the same scenario twice per engine and byte-diff "
-        "results/metrics/trace exports",
-    )
-    verify_cmd.add_argument(
-        "--sps", default="all", choices=SPS_NAMES + ("all",),
-        help="engine to check, or all four",
-    )
-    verify_cmd.add_argument("--serving", default="onnx", choices=SERVING_TOOLS)
-    verify_cmd.add_argument("--model", default="ffnn", choices=MODEL_NAMES)
-    verify_cmd.add_argument("--bsz", type=int, default=1)
-    verify_cmd.add_argument("--mp", type=int, default=1)
-    verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument(
-        "--ir", type=float, default=50.0, help="input rate (events/s)"
-    )
-    verify_cmd.add_argument(
-        "--duration", type=float, default=2.0, help="simulated seconds"
-    )
-    verify_cmd.add_argument(
-        "--nodes", type=int, default=0,
-        help="also cluster the scenario over this many simulated nodes "
-        "(0 = single-node, no cluster layer)",
-    )
-    verify_cmd.add_argument(
-        "--no-sanitize", action="store_true", dest="no_sanitize",
-        help="skip the runtime sanitizer during the paired runs",
-    )
-    verify_cmd.set_defaults(func=_cmd_verify_determinism)
 
     order_cmd = commands.add_parser(
         "verify-order",

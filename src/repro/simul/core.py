@@ -18,27 +18,20 @@ _TIMEOUT_POOL_CAP = 1024
 
 #: Analysis-mode construction overrides applied to every Environment
 #: built while :func:`kernel_overrides` is active.  This is how the
-#: concurrency analyzer instruments a run without threading knobs
-#: through every layer that creates an Environment: ``perturb_seed``
-#: pops through a seeded :class:`~repro.simul.scheduler.PermutedScheduler`,
-#: and ``tracker`` attaches a tie-race tracker (duck-typed: ``attach``/
-#: ``on_schedule``/``on_pop``/``on_state``).  Both default to off; the
-#: hot path pays one ``is not None`` check.
+#: order-proof harness perturbs a run without threading knobs through
+#: every layer that creates an Environment: ``perturb_seed`` pops through
+#: a seeded :class:`~repro.simul.scheduler.PermutedScheduler`.  It
+#: defaults to off and is read once per Environment, at construction.
 _OVERRIDES: dict[str, typing.Any] = {
     "perturb_seed": None,
-    "tracker": None,
 }
 
 
 @contextlib.contextmanager
-def kernel_overrides(
-    perturb_seed: int | None = None,
-    tracker: typing.Any = None,
-) -> typing.Iterator[None]:
+def kernel_overrides(perturb_seed: int | None = None) -> typing.Iterator[None]:
     """Scope analysis-mode kernel instrumentation to a ``with`` block."""
     previous = dict(_OVERRIDES)
     _OVERRIDES["perturb_seed"] = perturb_seed
-    _OVERRIDES["tracker"] = tracker
     try:
         yield
     finally:
@@ -66,9 +59,6 @@ class Environment:
         self._seq = 0
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
-        self._tracker = _OVERRIDES["tracker"]
-        if self._tracker is not None:
-            self._tracker.attach(self)
 
     @property
     def now(self) -> float:
@@ -84,8 +74,6 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` time units from now."""
         self._seq += 1
-        if self._tracker is not None:
-            self._tracker.on_schedule(self._seq, self._now + delay, priority)
         self._push((self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
@@ -101,8 +89,6 @@ class Environment:
             raise SimulationError("no more events") from None
         self._now = entry[0]
         event = entry[3]
-        if self._tracker is not None:
-            self._tracker.on_pop(entry)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

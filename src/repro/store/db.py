@@ -13,7 +13,7 @@ experiment comparable across revisions.
 Recording is strictly off-by-default and happens *after* a simulation
 finishes: a store never touches the event loop, the RNG streams, or any
 export, so every artifact is byte-identical with recording on or off
-(``crayfish verify-determinism`` holds either way).
+(``crayfish verify-order`` holds either way).
 """
 
 from __future__ import annotations

@@ -1,38 +1,18 @@
-"""Dual-run verification harness and the linter's clean-tree gate."""
+"""Export fingerprints of the order-proof harness and the linter's
+clean-tree gate."""
 
 import dataclasses
 import pathlib
 
 from repro.analysis.core import lint_paths
-from repro.analysis.determinism import (
-    ARTIFACTS,
-    run_fingerprints,
-    verify_determinism,
-    verify_engine,
-)
-from repro.config import SPS_NAMES, ExperimentConfig
+from repro.analysis.order import ARTIFACTS, run_fingerprints
+from repro.config import ExperimentConfig
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 SMALL = ExperimentConfig(
     sps="flink", serving="onnx", model="ffnn", ir=60.0, duration=1.0
 )
-
-
-def test_verify_engine_all_artifacts_identical():
-    verdict = verify_engine(SMALL)
-    assert verdict.identical
-    assert verdict.mismatched == ()
-    assert tuple(name for name, *_ in verdict.digests) == ARTIFACTS
-
-
-def test_verify_determinism_all_four_engines():
-    verdicts = verify_determinism(
-        dataclasses.replace(SMALL, duration=1.0), engines=SPS_NAMES
-    )
-    assert [v.sps for v in verdicts] == list(SPS_NAMES)
-    failed = [v.sps for v in verdicts if not v.identical]
-    assert failed == [], f"nondeterministic engines: {failed}"
 
 
 def test_fingerprints_differ_across_seeds():

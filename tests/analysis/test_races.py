@@ -238,17 +238,7 @@ def proc(env):
     assert report.clean
 
 
-# -- tie-race pseudo-rule ----------------------------------------------------
-
-
-def test_tie_race_pragma_not_flagged_as_dead():
-    """tie-race is dynamic: its pragmas legitimately suppress nothing
-    during a static lint and must not trip dead-pragma hygiene."""
-    report = lint_source(
-        "x = 1  # crayfish: allow[tie-race]: known benign tick overlap\n",
-        "sample.py",
-    )
-    assert report.clean
+# -- dead-pragma hygiene ----------------------------------------------------
 
 
 def test_static_pragma_still_flagged_as_dead():

@@ -446,7 +446,6 @@ def test_all_rules_registered():
         "race-shared-condition",
         "race-shared-state",
         "race-zero-timeout",
-        "tie-race",
     }
 
 

@@ -1,27 +1,9 @@
-"""The old ``repro.broker.cluster`` import path keeps working.
+"""``BrokerCluster`` lives in ``repro.broker.kafka_cluster``.
 
-PR 6 renamed the broker-internal module to ``kafka_cluster`` so the new
-top-level ``repro.cluster`` package is unambiguous; the shim re-exports
-the same objects under the old name with a deprecation warning.
+The broker-internal module was renamed so the top-level ``repro.cluster``
+package (multi-node scale-out) is unambiguous; the package export must
+be the renamed module's class.
 """
-
-import importlib
-import sys
-import warnings
-
-
-def test_old_import_path_warns_and_aliases():
-    sys.modules.pop("repro.broker.cluster", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim = importlib.import_module("repro.broker.cluster")
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    ), "importing repro.broker.cluster should warn"
-
-    from repro.broker import kafka_cluster
-
-    assert shim.BrokerCluster is kafka_cluster.BrokerCluster
 
 
 def test_package_export_is_the_new_module():

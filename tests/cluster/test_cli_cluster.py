@@ -85,15 +85,15 @@ def test_matrix_accepts_scaleout_preset(capsys):
     assert "1n" in out and "3n" in out
 
 
-def test_verify_determinism_clustered(capsys):
+def test_verify_order_clustered(capsys):
     code = main(
         [
-            "verify-determinism", "--sps", "flink", "--nodes", "2",
-            "--ir", "50", "--duration", "1",
+            "verify-order", "--sps", "flink", "--nodes", "2",
+            "--permutations", "1", "--ir", "50", "--duration", "1",
         ]
     )
     assert code == 0
-    assert "byte-identical" in capsys.readouterr().out
+    assert "order-independent" in capsys.readouterr().out
 
 
 def test_cluster_requires_subcommand():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.determinism import verify_determinism
+from repro.analysis.order import verify_engine_order
 from repro.cluster.spec import ClusterSpec, FlashCrowd, PopulationSpec
 from repro.config import ExperimentConfig
 from repro.core.runner import ExperimentRunner, run_experiment
@@ -92,8 +92,8 @@ def test_traces_attribute_spans_to_nodes():
 
 def test_clustered_runs_are_byte_identical():
     config = _config(ir=80.0, duration=1.0)
-    verdicts = verify_determinism(config, engines=("flink",), sanitize=True)
-    assert all(v.identical for v in verdicts), [v.mismatched for v in verdicts]
+    verdict = verify_engine_order(config, permutations=1, sanitize=True)
+    assert verdict.identical, verdict.mismatched
 
 
 def test_clustered_external_determinism():

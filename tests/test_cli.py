@@ -299,16 +299,6 @@ def test_lint_command_json_format(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "mutable-default"
 
 
-def test_lint_command_only_subset(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\nh = hash('x')\n")
-    code = main(["lint", str(bad), "--only", "hash-randomization"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "hash-randomization" in out
-    assert "wall-clock" not in out
-
-
 def test_lint_command_rule_catalogue(capsys):
     assert main(["lint", "--rules"]) == 0
     out = capsys.readouterr().out
@@ -401,16 +391,6 @@ def test_lint_command_check_suppressions_stale_prints_diff(tmp_path, capsys):
     assert f"--list-suppressions {target} > {inventory}" in out
 
 
-def test_verify_determinism_command(capsys):
-    code = main(
-        ["verify-determinism", "--sps", "flink", "--ir", "60", "--duration", "1"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "byte-identical" in out
-    assert "reproduce byte-identically" in out
-
-
 def test_verify_order_command(capsys):
     code = main([
         "verify-order", "--sps", "flink", "--ir", "30",
@@ -426,11 +406,3 @@ def test_run_command_sanitized(capsys):
     code = main(["run", "--duration", "1", "--ir", "50", "--sanitize"])
     assert code == 0
     assert "throughput" in capsys.readouterr().out
-
-
-def test_run_command_tie_track(capsys):
-    code = main(["run", "--duration", "1", "--ir", "50", "--tie-track"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tie tracker:" in out
-    assert "0 conflict(s)" in out
