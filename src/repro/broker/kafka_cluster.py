@@ -64,6 +64,9 @@ class BrokerCluster:
         # Active partition outages: producers block on the gate event
         # until the partition's leadership is restored.
         self._outages: dict[tuple[str, int], Event] = {}
+        # Data-path routes, resolved once per (topic, partition, client
+        # node): see :meth:`_route`.
+        self._routes: dict[tuple[str, int, str | None], tuple] = {}
         # Consumers register themselves so group lag is observable.
         self._consumers: list[typing.Any] = []
         # One service unit per broker: appends/fetches to its partitions
@@ -139,6 +142,28 @@ class BrokerCluster:
             return {}
         return {"node": self.placement.node_of_partition(partition)}
 
+    def _route(self, topic: str, partition: int, client_node: str | None) -> tuple:
+        """``(log, broker, link, span attrs, send/append-wait/append span
+        names)`` for one data-path hop, resolved on first use.
+
+        Every part is a pure function of the key over a cluster whose
+        topics, placement, links and tracer are fixed once built, so the
+        cache changes no simulated value. An unknown topic raises
+        :class:`UnknownTopicError` and is never cached."""
+        key = (topic, partition, client_node)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = (
+                self.topic(topic).partition(partition),
+                self.broker_for(topic, partition),
+                self._link_for(partition, client_node),
+                self._node_attrs(partition),
+                f"broker.send:{topic}",
+                f"broker.append_wait:{topic}",
+                f"broker.append:{topic}",
+            )
+        return route
+
     # -- data path -----------------------------------------------------
 
     def append(
@@ -160,33 +185,32 @@ class BrokerCluster:
                 f"{nbytes:.0f} B exceeds max.request.size "
                 f"{self.max_request_bytes:.0f} B"
             )
-        log = self.topic(topic).partition(partition)
+        log, broker, link, attrs, send_name, wait_name, append_name = self._route(
+            topic, partition, client_node
+        )
+        tracer = self.tracer
         # An unavailable partition has no leader to accept the write: the
         # producer's delivery blocks until the outage ends (librdkafka-style
         # internal retries, collapsed into one wait).
-        while True:
+        while self._outages:
             gate = self._outages.get((topic, partition))
             if gate is None:
                 break
-            span = self.tracer.begin(value, f"broker.unavailable:{topic}")
+            span = tracer.begin(value, f"broker.unavailable:{topic}")
             yield gate
-            self.tracer.end(span)
-        attrs = self._node_attrs(partition)
-        span = self.tracer.begin(value, f"broker.send:{topic}", **attrs)
-        yield self.env.service_timeout(
-            self._link_for(partition, client_node).transfer_time(nbytes)
-        )
-        self.tracer.end(span)
-        broker = self.broker_for(topic, partition)
-        wait = self.tracer.begin(value, f"broker.append_wait:{topic}", **attrs)
+            tracer.end(span)
+        span = tracer.begin(value, send_name, **attrs)
+        yield self.env.service_timeout(link.transfer_time(nbytes))
+        tracer.end(span)
+        wait = tracer.begin(value, wait_name, **attrs)
         with broker.request() as req:
             yield req
-            self.tracer.end(wait)
-            span = self.tracer.begin(value, f"broker.append:{topic}", **attrs)
+            tracer.end(wait)
+            span = tracer.begin(value, append_name, **attrs)
             service = cal.BROKER_APPEND_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
             yield self.env.service_timeout(service)
             record = log.append(timestamp, value, nbytes)
-            self.tracer.end(span)
+            tracer.end(span)
         return RecordMetadata(
             topic=topic,
             partition=partition,
@@ -206,10 +230,9 @@ class BrokerCluster:
 
         Returns the (possibly empty) list of records available now.
         """
-        log = self.topic(topic).partition(partition)
+        log, broker, link = self._route(topic, partition, client_node)[:3]
         records = log.fetch(offset, max_records)
         fetch_start = self.env.now
-        broker = self.broker_for(topic, partition)
         with broker.request() as req:
             yield req
             nbytes = sum(r.nbytes for r in records)
@@ -217,9 +240,7 @@ class BrokerCluster:
             yield self.env.service_timeout(service)
         if records:
             total = sum(r.nbytes for r in records)
-            yield self.env.service_timeout(
-                self._link_for(partition, client_node).transfer_time(total)
-            )
+            yield self.env.service_timeout(link.transfer_time(total))
         self._trace_fetched(topic, records, fetch_start)
         return list(records)
 
@@ -264,16 +285,14 @@ class BrokerCluster:
         # The fetch response is served by the broker owning the first
         # requested partition; size-based costs dominate anyway.
         first = next(iter(offsets))
-        broker = self.broker_for(topic, first)
+        __, broker, link = self._route(topic, first, client_node)[:3]
         nbytes = sum(r.nbytes for r in records) if data_transfer else 0.0
         with broker.request() as req:
             yield req
             service = cal.BROKER_FETCH_OVERHEAD + nbytes / cal.BROKER_IO_BANDWIDTH
             yield self.env.service_timeout(service)
         if records and data_transfer:
-            yield self.env.service_timeout(
-                self._link_for(first, client_node).transfer_time(nbytes)
-            )
+            yield self.env.service_timeout(link.transfer_time(nbytes))
         self._trace_fetched(topic, records, fetch_start)
         return records, new_offsets
 

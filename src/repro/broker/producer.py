@@ -5,7 +5,6 @@ from __future__ import annotations
 import typing
 
 from repro.broker.kafka_cluster import BrokerCluster
-from repro.broker.records import RecordMetadata
 from repro.simul import Environment
 
 
@@ -29,7 +28,6 @@ class Producer:
         self.env = env
         self.cluster = cluster
         self._next_partition: dict[str, int] = {}
-        self.records_sent = 0
 
     def _pick_partition(self, topic: str, key: int | None) -> int:
         count = self.cluster.topic(topic).partition_count
@@ -47,12 +45,17 @@ class Producer:
         timestamp: float | None = None,
         key: int | None = None,
     ) -> typing.Generator:
-        """Coroutine: deliver one record; returns :class:`RecordMetadata`."""
+        """Coroutine: deliver one record; returns :class:`RecordMetadata`.
+
+        The partition is picked when ``send`` is called, which is also
+        when a ``yield from`` starts the returned append."""
         if timestamp is None:
             timestamp = self.env.now
-        partition = self._pick_partition(topic, key)
-        metadata: RecordMetadata = yield from self.cluster.append(
-            topic, partition, timestamp, value, nbytes, client_node=self.node
+        return self.cluster.append(
+            topic,
+            self._pick_partition(topic, key),
+            timestamp,
+            value,
+            nbytes,
+            client_node=self.node,
         )
-        self.records_sent += 1
-        return metadata

@@ -34,7 +34,7 @@ class CrayfishDataBatch:
     def __post_init__(self) -> None:
         if self.points < 1:
             raise ConfigError(f"batch needs >= 1 point, got {self.points}")
-        if not self.point_shape or any(d < 1 for d in self.point_shape):
+        if not self.point_shape or min(self.point_shape) < 1:
             raise ConfigError(f"invalid point shape {self.point_shape}")
 
     @property

@@ -13,6 +13,7 @@ Two drive modes:
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro import calibration as cal
@@ -50,6 +51,11 @@ class InputProducerBase:
         self._producer = (
             Producer(env, cluster, node=node) if cluster is not None else None
         )
+        # Every batch comes from ``factory``, so all share one size; the
+        # calibration is read here, once per run.
+        self._payload = json_payload(
+            factory.points * int(math.prod(factory.point_shape))
+        )
         self.batches_produced = 0
 
     def start(self) -> None:
@@ -67,15 +73,14 @@ class InputProducerBase:
             self.direct.push(batch)
             self.batches_produced += 1
             return
-        payload = json_payload(batch.input_values)
-        payload_bytes = payload.nbytes
+        payload = self._payload
         span = self.tracer.begin(batch, "producer.serialize")
         yield self.env.service_timeout(payload.encode_cost)
         self.tracer.end(span)
         yield from self._producer.send(
             self.topic,
             value=batch,
-            nbytes=payload_bytes,
+            nbytes=payload.nbytes,
             timestamp=batch.created_at,
         )
         self.batches_produced += 1

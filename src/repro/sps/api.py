@@ -14,7 +14,7 @@ import typing
 from repro import calibration as cal
 from repro.core.batch import CrayfishDataBatch
 from repro.metrics.registry import NO_METRICS
-from repro.netsim import json_payload
+from repro.netsim import Payload, json_payload
 from repro.serving.base import ServingTool
 from repro.simul import Environment, Interrupt, Process
 from repro.sps.gateways import InputGateway, OutputGateway, SourceHandle
@@ -64,6 +64,10 @@ class DataProcessor:
         #: Kafka produces in flight). Maintained unconditionally — two
         #: integer ops per batch — so metrics-on/off runs stay identical.
         self._emits_inflight = 0
+        #: JSON payloads by value count, sized on first use: an engine
+        #: sees a handful of batch sizes, and sizing is a pure function
+        #: of the count under the run's calibration.
+        self._json_payloads: dict[int, Payload] = {}
         metrics.gauge(
             "engine_input_queue",
             help="records fetched-able but not yet polled by source tasks",
@@ -168,16 +172,21 @@ class DataProcessor:
             return self.tool.costs.contention_factor
         return 1.0
 
+    def _json_payload(self, values: int) -> Payload:
+        payload = self._json_payloads.get(values)
+        if payload is None:
+            payload = self._json_payloads[values] = json_payload(values)
+        return payload
+
     def decode_cost(self, batch: CrayfishDataBatch) -> float:
         """Deserialization CPU for one input event."""
         if not self.input.charges_serde:
             return 0.0
-        return json_payload(batch.input_values).decode_cost
+        return self._json_payload(batch.input_values).decode_cost
 
-    def output_payload(self, batch: CrayfishDataBatch):
+    def output_payload(self, batch: CrayfishDataBatch) -> Payload:
         """JSON payload of the scored result (predictions only)."""
-        values = batch.points * self.output_values_per_point
-        return json_payload(values)
+        return self._json_payload(batch.points * self.output_values_per_point)
 
     def encode_cost(self, batch: CrayfishDataBatch) -> float:
         if not self.output.charges_serde:
@@ -197,11 +206,6 @@ class DataProcessor:
         if self.on_complete is not None:
             self.on_complete(batch, end_time)
 
-    def _emit(self, batch: CrayfishDataBatch) -> typing.Generator:
-        """Sink-side delivery; returns the end timestamp (blocking form)."""
-        end_time = yield from self.output.emit(batch, self.output_nbytes(batch))
-        return end_time
-
     def emit_and_complete(self, batch: CrayfishDataBatch) -> None:
         """Fire-and-forget produce: Kafka producers buffer and send
         asynchronously, so the sink task never blocks on the broker round
@@ -211,7 +215,7 @@ class DataProcessor:
     def _emit_process(self, batch: CrayfishDataBatch) -> typing.Generator:
         self._emits_inflight += 1
         try:
-            end_time = yield from self._emit(batch)
+            end_time = yield from self.output.emit(batch, self.output_nbytes(batch))
         finally:
             self._emits_inflight -= 1
         self._complete(batch, end_time)
